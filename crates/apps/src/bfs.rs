@@ -253,7 +253,7 @@ mod tests {
         let g = rmat(&RmatOptions::paper(12));
         let mut stats = TraversalStats::new();
         let _ = bfs_traced(&g, 0, EdgeMapOptions::default(), &mut stats);
-        let (_, dense, _, _) = stats.mode_counts();
+        let (_, dense, _) = stats.mode_counts();
         assert!(dense > 0, "expected at least one dense round on rMat");
         // High-diameter graphs never densify: a path's frontier is one
         // vertex, always below m/20. (A 3d-grid shows the same behaviour
@@ -262,7 +262,7 @@ mod tests {
         let g = path(5000);
         let mut stats = TraversalStats::new();
         let _ = bfs_traced(&g, 0, EdgeMapOptions::default(), &mut stats);
-        let (_, dense, _, _) = stats.mode_counts();
+        let (_, dense, _) = stats.mode_counts();
         assert_eq!(dense, 0, "path frontiers must stay sparse");
     }
 

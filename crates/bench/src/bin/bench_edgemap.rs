@@ -3,14 +3,13 @@
 //! streamed (the `frontier_bytes` telemetry column).
 //!
 //! A BFS round sweep over the paper's rMat input, once per policy
-//! (auto, sparse, dense, dense-forward, partitioned — `--policy NAME`
-//! or `LIGRA_TRAVERSAL` restricts the sweep to one of them). For every
+//! (auto, sparse, dense, dense-forward — `--policy NAME` or
+//! `LIGRA_TRAVERSAL` restricts the sweep to one of them). For every
 //! recorded round the binary re-checks the representation contract:
 //! sparse push rounds report exactly `4 * (|U| + |output|)` bytes (the
-//! output vector is exact-size — no sentinel slots), dense and
-//! partitioned rounds report the packed `n/8`-byte bitset once in and
-//! once out (partitioned rounds additionally report the bin traffic in
-//! the `scatter_bytes` column). Per-mode medians and totals go to stdout
+//! output vector is exact-size — no sentinel slots), dense rounds report
+//! the packed `n/8`-byte bitset once in and once out. Per-mode medians
+//! and totals go to stdout
 //! and to a machine-readable JSON file (`BENCH_edgemap.json` by default)
 //! for CI artifact upload.
 //!
@@ -51,7 +50,6 @@ struct ModeRow {
     total_edge_map_ns: u64,
     frontier_bytes: u64,
     edges_scanned: u64,
-    scatter_bytes: u64,
 }
 
 fn median(mut xs: Vec<u64>) -> u64 {
@@ -94,18 +92,7 @@ fn sweep(
                 assert_eq!(r.frontier_bytes, 4 * (r.frontier_vertices + r.output_vertices))
             }
             // Packed bitset streamed in and (BFS keeps output on) out.
-            // Partitioned rounds report bin traffic separately in
-            // `scatter_bytes`, checked below.
-            Mode::Dense | Mode::DenseForward | Mode::Partitioned => {
-                assert_eq!(r.frontier_bytes, 2 * packed)
-            }
-        }
-        if r.mode == Mode::Partitioned {
-            assert!(r.partitions > 0, "partitioned round must report its partition count");
-            // 8 bytes per (src, dst) bin entry on an unweighted graph.
-            assert_eq!(r.scatter_bytes, 8 * r.edges_scanned);
-        } else {
-            assert_eq!(r.scatter_bytes, 0, "classic rounds scatter nothing");
+            _ => assert_eq!(r.frontier_bytes, 2 * packed),
         }
     }
 
@@ -116,7 +103,6 @@ fn sweep(
         total_edge_map_ns: rounds.iter().map(|r| r.time_ns).sum(),
         frontier_bytes: rounds.iter().map(|r| r.frontier_bytes).sum(),
         edges_scanned: rounds.iter().map(|r| r.edges_scanned).sum(),
-        scatter_bytes: rounds.iter().map(|r| r.scatter_bytes).sum(),
     }
 }
 
@@ -146,15 +132,13 @@ fn to_json(
     for (i, r) in rows.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"policy\": \"{}\", \"rounds\": {}, \"median_round_ns\": {}, \
-             \"total_edge_map_ns\": {}, \"frontier_bytes\": {}, \"edges_scanned\": {}, \
-             \"scatter_bytes\": {}}}{}\n",
+             \"total_edge_map_ns\": {}, \"frontier_bytes\": {}, \"edges_scanned\": {}}}{}\n",
             r.policy,
             r.rounds,
             r.median_round_ns,
             r.total_edge_map_ns,
             r.frontier_bytes,
             r.edges_scanned,
-            r.scatter_bytes,
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -200,14 +184,13 @@ fn main() {
     }
 
     println!(
-        "{:<12} {:>7} {:>16} {:>16} {:>16} {:>14} {:>14}",
+        "{:<14} {:>7} {:>16} {:>16} {:>16} {:>14}",
         "policy",
         "rounds",
         "median round ns",
         "edgeMap total ns",
         "frontier bytes",
-        "edges scanned",
-        "scatter bytes"
+        "edges scanned"
     );
 
     // LIGRA_RACE_CHECK=1: certify each sweep under the BFS Claim
@@ -229,14 +212,13 @@ fn main() {
         let oracle = race_check.then(|| RaceOracle::new(g.num_vertices(), WinContract::Claim));
         let row = sweep(&g, 0, t.name(), t, oracle.as_ref());
         println!(
-            "{:<12} {:>7} {:>16} {:>16} {:>16} {:>14} {:>14}",
+            "{:<14} {:>7} {:>16} {:>16} {:>16} {:>14}",
             row.policy,
             row.rounds,
             row.median_round_ns,
             row.total_edge_map_ns,
             row.frontier_bytes,
-            row.edges_scanned,
-            row.scatter_bytes
+            row.edges_scanned
         );
         if let Some(o) = &oracle {
             let report = o
@@ -257,8 +239,5 @@ fn main() {
     let json = to_json(log_n, &g, quick, parallel_pool, &rows);
     std::fs::write(&out_path, &json).expect("write benchmark JSON");
     println!("\nwrote {out_path}");
-    println!(
-        "contract checked: sparse rounds = 4*(|U|+|out|) bytes, dense/partitioned rounds = \
-         2*(n/8) bytes, partitioned scatter = 8 bytes/edge"
-    );
+    println!("contract checked: sparse rounds = 4*(|U|+|out|) bytes, dense rounds = 2*(n/8) bytes");
 }

@@ -1,9 +1,9 @@
 //! **Figure F2 / ablation A1** — direction optimization.
 //!
-//! Total running time of BFS and Components under the five traversal
+//! Total running time of BFS and Components under the four traversal
 //! policies: the paper's hybrid (auto) heuristic, sparse-only (what
-//! push-based frameworks like Pregel/GraphLab do), dense-only,
-//! dense-forward-only, and the cache-aware partitioned scatter/gather. The paper's shape: hybrid ≈ best-of-both; on
+//! push-based frameworks like Pregel/GraphLab do), dense-only, and
+//! dense-forward-only. The paper's shape: hybrid ≈ best-of-both; on
 //! low-diameter inputs (rMat) hybrid beats sparse-only by a large factor,
 //! on high-diameter inputs dense-only loses badly because every one of
 //! the many rounds pays O(n + m).
@@ -19,9 +19,9 @@ use ligra::{from_json_lines, to_json_lines, EdgeMapOptions, Traversal, Traversal
 use ligra_apps as apps;
 use ligra_bench::{fmt_secs, inputs, time_best, Scale};
 
-/// All five policies, canonical order and names (`Traversal::ALL`; the
+/// All four policies, canonical order and names (`Traversal::ALL`; the
 /// paper's hybrid heuristic is `auto`).
-const POLICIES: [Traversal; 5] = Traversal::ALL;
+const POLICIES: [Traversal; 4] = Traversal::ALL;
 
 /// Per-mode round counts and telemetry-timed totals, computed from the
 /// exported-and-reimported trace of one traced BFS run.
@@ -30,13 +30,7 @@ fn mode_breakdown(g: &ligra_graph::Graph, source: u32, t: Traversal) -> String {
     let _ = apps::bfs_traced(g, source, EdgeMapOptions::new().traversal(t), &mut stats);
     let trace = from_json_lines(&to_json_lines(&stats)).expect("trace must round-trip");
     let mut cells = Vec::new();
-    let kinds = [
-        ("s", Mode::Sparse),
-        ("d", Mode::Dense),
-        ("f", Mode::DenseForward),
-        ("p", Mode::Partitioned),
-    ];
-    for (name, mode) in kinds {
+    for (name, mode) in [("s", Mode::Sparse), ("d", Mode::Dense), ("f", Mode::DenseForward)] {
         let rounds: Vec<_> =
             trace.rounds.iter().filter(|r| r.op == Op::EdgeMap && r.mode == mode).collect();
         if !rounds.is_empty() {
@@ -51,14 +45,13 @@ fn main() {
     let scale = Scale::from_env();
     println!("Figure F2: traversal-policy ablation (scale = {scale:?})");
     println!(
-        "{:<14} {:<12} {:>12} {:>13} {:>12} {:>13} {:>13} {:>22}",
+        "{:<14} {:<12} {:>12} {:>13} {:>12} {:>13} {:>22}",
         "input",
         "app",
         POLICIES[0].name(),
         POLICIES[1].name(),
         POLICIES[2].name(),
         POLICIES[3].name(),
-        POLICIES[4].name(),
         "auto vs sparse"
     );
     for input in inputs(scale) {
@@ -70,14 +63,13 @@ fn main() {
             row.push(secs);
         }
         println!(
-            "{:<14} {:<12} {:>12} {:>13} {:>12} {:>13} {:>13} {:>21.2}x",
+            "{:<14} {:<12} {:>12} {:>13} {:>12} {:>13} {:>21.2}x",
             input.name,
             "BFS",
             fmt_secs(row[0]),
             fmt_secs(row[1]),
             fmt_secs(row[2]),
             fmt_secs(row[3]),
-            fmt_secs(row[4]),
             row[1] / row[0]
         );
 
@@ -89,14 +81,13 @@ fn main() {
                 row.push(secs);
             }
             println!(
-                "{:<14} {:<12} {:>12} {:>13} {:>12} {:>13} {:>13} {:>21.2}x",
+                "{:<14} {:<12} {:>12} {:>13} {:>12} {:>13} {:>21.2}x",
                 input.name,
                 "Components",
                 fmt_secs(row[0]),
                 fmt_secs(row[1]),
                 fmt_secs(row[2]),
                 fmt_secs(row[3]),
-                fmt_secs(row[4]),
                 row[1] / row[0]
             );
         }

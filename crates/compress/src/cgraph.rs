@@ -97,9 +97,6 @@ pub struct CompressedGraph<C: Codec = ByteCode> {
     out: CompressedAdjacency<C>,
     incoming: Option<CompressedAdjacency<C>>,
     num_edges: usize,
-    /// Lazily built default-width partitioning for the partitioned
-    /// traversal, mirroring `ligra_graph::Graph::partitioning`.
-    partitions: std::sync::OnceLock<std::sync::Arc<ligra_graph::Partitioning>>,
 }
 
 impl<C: Codec> CompressedGraph<C> {
@@ -112,12 +109,7 @@ impl<C: Codec> CompressedGraph<C> {
         } else {
             Some(CompressedAdjacency::from_adjacency(g.in_adj()))
         };
-        CompressedGraph {
-            out,
-            incoming,
-            num_edges: g.num_edges(),
-            partitions: std::sync::OnceLock::new(),
-        }
+        CompressedGraph { out, incoming, num_edges: g.num_edges() }
     }
 
     /// Number of vertices.
@@ -165,45 +157,6 @@ impl<C: Codec> CompressedGraph<C> {
     #[inline]
     fn in_dir(&self) -> &CompressedAdjacency<C> {
         self.incoming.as_ref().unwrap_or(&self.out)
-    }
-
-    /// The cached default-width [`ligra_graph::Partitioning`] for the
-    /// partitioned traversal, built on first use from the stored
-    /// (uncompressed) in-degree array.
-    pub fn partitioning(&self) -> std::sync::Arc<ligra_graph::Partitioning> {
-        self.partitions
-            .get_or_init(|| {
-                let n = self.num_vertices();
-                let bits = ligra_graph::partition::default_bits(n);
-                std::sync::Arc::new(ligra_graph::Partitioning::from_degrees(n, bits, |v| {
-                    self.in_degree(v) as u64
-                }))
-            })
-            .clone()
-    }
-
-    /// Like [`Self::partitioning`] but honoring an explicit width
-    /// request; `None` falls back to the cached default.
-    pub fn partitioning_with(
-        &self,
-        bits: Option<u32>,
-    ) -> std::sync::Arc<ligra_graph::Partitioning> {
-        match bits {
-            None => self.partitioning(),
-            Some(b) => {
-                let cached = self.partitioning();
-                let clamped =
-                    b.clamp(ligra_graph::partition::MIN_BITS, ligra_graph::partition::MAX_BITS);
-                if cached.bits() == clamped {
-                    cached
-                } else {
-                    let n = self.num_vertices();
-                    std::sync::Arc::new(ligra_graph::Partitioning::from_degrees(n, clamped, |v| {
-                        self.in_degree(v) as u64
-                    }))
-                }
-            }
-        }
     }
 
     /// Decodes `v`'s full out-neighbor list into a vector.

@@ -22,9 +22,7 @@ use ligra::stats::{
 };
 use ligra::traits::EdgeMapFn;
 use ligra::vertex_subset::VertexSubset;
-use ligra_graph::partition::partition_min_n;
-use ligra_graph::{Partitioning, VertexId};
-use ligra_parallel::bins::{fragment_row, stitch, Fragments};
+use ligra_graph::VertexId;
 use ligra_parallel::bitvec::{AtomicBitVec, BitSet};
 use ligra_parallel::checked_u32;
 use ligra_parallel::scan::prefix_sums;
@@ -126,22 +124,8 @@ fn edge_map_impl<C: Codec, F: EdgeMapFn<()>, R: Recorder>(
         Traversal::Sparse => Mode::Sparse,
         Traversal::Dense => Mode::Dense,
         Traversal::DenseForward => Mode::DenseForward,
-        Traversal::Partitioned => Mode::Partitioned,
-        Traversal::Auto => {
-            if work > threshold {
-                // Same miss-bound upgrade as the uncompressed path: very
-                // heavy dense rounds on large graphs go scatter/gather.
-                if out_edges > opts.effective_partition_threshold(g.num_edges())
-                    && n >= opts.partition_min_vertices.unwrap_or_else(partition_min_n)
-                {
-                    Mode::Partitioned
-                } else {
-                    Mode::Dense
-                }
-            } else {
-                Mode::Sparse
-            }
-        }
+        Traversal::Auto if work > threshold => Mode::Dense,
+        Traversal::Auto => Mode::Sparse,
     };
 
     let input_sparse = frontier.is_sparse();
@@ -154,7 +138,6 @@ fn edge_map_impl<C: Codec, F: EdgeMapFn<()>, R: Recorder>(
         o.begin_round();
     }
 
-    let mut pstats = PartitionedStats::default();
     let result = if frontier.is_empty() {
         VertexSubset::empty(n)
     } else {
@@ -166,13 +149,7 @@ fn edge_map_impl<C: Codec, F: EdgeMapFn<()>, R: Recorder>(
             Mode::DenseForward => {
                 dense_forward(g, frontier.as_bits(), f, opts.output, c, opts.oracle)
             }
-            Mode::Partitioned => {
-                let part = g.partitioning_with(opts.partition_bits);
-                let (res, ps) =
-                    partitioned(g, frontier.as_bits(), f, opts.output, &part, c, opts.oracle);
-                pstats = ps;
-                res
-            }
+            Mode::Partitioned => unreachable!("no policy selects the removed partitioned mode"),
         }
     };
 
@@ -184,14 +161,11 @@ fn edge_map_impl<C: Codec, F: EdgeMapFn<()>, R: Recorder>(
         // the packed bitset each way.
         let frontier_bytes = if frontier.is_empty() {
             0
+        } else if wants_sparse {
+            4 * (frontier_vertices + result.len() as u64)
         } else {
-            match mode {
-                Mode::Sparse => 4 * (frontier_vertices + result.len() as u64),
-                Mode::Dense | Mode::DenseForward | Mode::Partitioned => {
-                    let words = (n.div_ceil(64) * 8) as u64;
-                    words + if opts.output { words } else { 0 }
-                }
-            }
+            let words = (n.div_ceil(64) * 8) as u64;
+            words + if opts.output { words } else { 0 }
         };
         rec.record(RoundStat {
             op: ligra::stats::Op::EdgeMap,
@@ -211,9 +185,7 @@ fn edge_map_impl<C: Codec, F: EdgeMapFn<()>, R: Recorder>(
             cas_wins: c.map_or(0, |c| c.cas_wins.sum()),
             edges_scanned: c.map_or(0, |c| c.edges_scanned.sum()),
             edges_skipped: c.map_or(0, |c| c.edges_skipped.sum()),
-            partitions: pstats.partitions,
-            bins_flushed: pstats.bins_flushed,
-            scatter_bytes: pstats.scatter_bytes,
+            scatter_bytes: 0,
         });
     }
     result
@@ -439,126 +411,6 @@ fn dense_forward<C: Codec, F: EdgeMapFn<()>>(
     }
 }
 
-/// One scattered update — `(src, dst)`; compressed graphs are unweighted
-/// so there is no payload slot.
-#[derive(Debug, Clone, Copy)]
-struct BinEntry {
-    src: VertexId,
-    dst: VertexId,
-}
-
-/// Partition telemetry a partitioned round reports.
-#[derive(Debug, Default, Clone, Copy)]
-struct PartitionedStats {
-    partitions: u64,
-    bins_flushed: u64,
-    scatter_bytes: u64,
-}
-
-/// Frontier words per scatter task, matching `ligra::edge_map`.
-const SCATTER_WORDS: usize = 64;
-
-/// Cache-aware scatter/gather over the compressed out-direction. The
-/// scatter phase decodes each frontier vertex's list once, streaming the
-/// decoded targets into per-partition bins without touching destination
-/// state; the gather phase drains one partition per task with non-atomic
-/// updates and plain-write output words, the same partition-exclusive
-/// contract as the uncompressed kernel.
-fn partitioned<C: Codec, F: EdgeMapFn<()>>(
-    g: &CompressedGraph<C>,
-    bits: &BitSet,
-    f: &F,
-    output: bool,
-    part: &Partitioning,
-    counters: Option<&EdgeCounters>,
-    oracle: Option<&RaceOracle>,
-) -> (VertexSubset, PartitionedStats) {
-    #[cfg(not(feature = "race-check"))]
-    let _ = oracle;
-    let n = g.num_vertices();
-    debug_assert_eq!(bits.len(), n);
-    debug_assert_eq!(part.num_vertices(), n, "partitioning built for a different graph");
-    let nparts = part.num_partitions();
-
-    let fwords = bits.words();
-    let nchunks = fwords.len().div_ceil(SCATTER_WORDS).max(1);
-    let frags: Fragments<BinEntry> = (0..nchunks)
-        .into_par_iter()
-        .map(|ci| {
-            let mut row = fragment_row::<BinEntry>(nparts);
-            let mut scanned = 0u64;
-            let lo = ci * SCATTER_WORDS;
-            let hi = (lo + SCATTER_WORDS).min(fwords.len());
-            for (wi, &w0) in fwords.iter().enumerate().take(hi).skip(lo) {
-                let mut w = w0;
-                while w != 0 {
-                    let u = checked_u32(wi * 64) + w.trailing_zeros();
-                    w &= w - 1;
-                    scanned += g.out_degree(u) as u64;
-                    for v in g.out_neighbors(u) {
-                        row[part.partition_of(v)].push(BinEntry { src: u, dst: v });
-                    }
-                }
-            }
-            if let Some(c) = counters {
-                c.edges_scanned.add(scanned);
-            }
-            row
-        })
-        .collect();
-    let (bins, bins_flushed) = stitch(frags);
-    let entries: usize = bins.iter().map(Vec::len).sum();
-    let pstats = PartitionedStats {
-        partitions: nparts as u64,
-        bins_flushed,
-        scatter_bytes: (entries * std::mem::size_of::<BinEntry>()) as u64,
-    };
-
-    let gather = |p: usize, mut out_words: Option<&mut [u64]>| {
-        let base = part.range(p).start;
-        let mut skipped = 0u64;
-        for e in &bins[p] {
-            if f.cond(e.dst) {
-                #[cfg(feature = "race-check")]
-                if let Some(o) = oracle {
-                    o.enter_exclusive(e.src, e.dst);
-                }
-                let won = f.update(e.src, e.dst, ());
-                #[cfg(feature = "race-check")]
-                if let Some(o) = oracle {
-                    o.exit_exclusive(e.src, e.dst, won);
-                }
-                if won {
-                    if let Some(words) = out_words.as_deref_mut() {
-                        let local = e.dst as usize - base;
-                        words[local >> 6] |= 1u64 << (local & 63);
-                    }
-                }
-            } else {
-                skipped += 1;
-            }
-        }
-        if let Some(c) = counters {
-            c.edges_skipped.add(skipped);
-        }
-    };
-
-    let result = if output {
-        let mut words = vec![0u64; n.div_ceil(64)];
-        // Partition boundaries are multiples of 64, so each gather task
-        // owns whole output words (see ligra_graph::partition::MIN_BITS).
-        words
-            .par_chunks_mut(part.words_per_partition())
-            .enumerate()
-            .for_each(|(p, chunk)| gather(p, Some(chunk)));
-        VertexSubset::from_bitset(n, BitSet::from_words(words, n))
-    } else {
-        (0..nparts).into_par_iter().for_each(|p| gather(p, None));
-        VertexSubset::empty(n)
-    };
-    (result, pstats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -610,35 +462,6 @@ mod tests {
             EdgeMapOptions::new().traversal(Traversal::Dense).deduplicate(true),
         );
         assert_eq!(out.to_vec_sorted(), expect);
-    }
-
-    #[test]
-    fn compressed_partitioned_traversal_records_bin_telemetry() {
-        let g = erdos_renyi(400, 3000, 2, true);
-        let cg: CompressedGraph = CompressedGraph::from_graph(&g);
-        let frontier: Vec<u32> = (0..400u32).collect();
-
-        let expect = {
-            let f = edge_fn(|_s, _d, _w: ()| true, |_| true);
-            let mut fr = VertexSubset::from_sparse(400, frontier.clone());
-            edge_map_with(&cg, &mut fr, &f, EdgeMapOptions::new().deduplicate(true)).to_vec_sorted()
-        };
-
-        let f = edge_fn(|_s, _d, _w: ()| true, |_| true);
-        let mut stats = TraversalStats::new();
-        let mut fr = VertexSubset::from_sparse(400, frontier);
-        let opts = EdgeMapOptions::new().traversal(Traversal::Partitioned).partition_bits(6);
-        let out = edge_map_traced(&cg, &mut fr, &f, opts, &mut stats);
-        assert_eq!(out.to_vec_sorted(), expect);
-
-        let r = stats.rounds[0];
-        assert_eq!(r.mode, Mode::Partitioned);
-        assert_eq!(r.partitions, 400u64.div_ceil(64));
-        assert!(r.bins_flushed > 0);
-        // 8 bytes per binned (src, dst) entry, one entry per frontier
-        // out-edge.
-        assert_eq!(r.scatter_bytes, 8 * r.frontier_out_edges);
-        assert_eq!(r.edges_scanned, r.frontier_out_edges);
     }
 
     #[test]

@@ -23,28 +23,10 @@
 //!   write-based dense variant — walks every frontier vertex's out-edges,
 //!   needing no transpose but atomic updates and no early exit. Zero words
 //!   of the frontier bitset skip 64 non-members with a single load.
-//! * [`edge_map_partitioned`] (cache-aware scatter/gather): vertices are
-//!   pre-split into contiguous cache-fitting segments
-//!   (`ligra_graph::partition`). A scatter pass walks the frontier's
-//!   out-edges and appends `(src, dst, weight)` entries into one bin per
-//!   destination partition — sequential streams instead of random writes —
-//!   then a gather pass drains each partition's bin in source order,
-//!   applying the *non-atomic* [`EdgeMapFn::update`]: every destination
-//!   belongs to exactly one partition and each partition is drained by one
-//!   task, so writes are partition-exclusive, the same single-owner
-//!   contract as the pull traversal. The payoff is locality: on graphs
-//!   whose destination state outgrows the LLC, dense pull takes a likely
-//!   miss per edge, while the gather phase touches one cache-sized segment
-//!   of state at a time.
 //!
 //! The direction heuristic (the paper's `|U| + Σ deg⁺(u) > m/20`) picks
 //! pull for large frontiers and push for small ones, generalizing Beamer
-//! et al.'s direction-optimizing BFS to every frontier algorithm. On
-//! graphs with at least `ligra_graph::partition::partition_min_n()`
-//! vertices, a third point kicks in: a dense round whose frontier
-//! out-edge sum also exceeds [`EdgeMapOptions::effective_partition_threshold`]
-//! (default `m/4`) is miss-bound enough to route to the partitioned
-//! traversal instead.
+//! et al.'s direction-optimizing BFS to every frontier algorithm.
 //!
 //! Every round can be observed through a [`Recorder`]: when the recorder is
 //! enabled, the round is timed, the heuristic's inputs are captured, the
@@ -62,9 +44,7 @@ use crate::stats::{
 };
 use crate::traits::EdgeMapFn;
 use crate::vertex_subset::VertexSubset;
-use ligra_graph::partition::{partition_min_n, Partitioning};
 use ligra_graph::{Graph, VertexId};
-use ligra_parallel::bins::{fragment_row, stitch, Fragments};
 use ligra_parallel::bitvec::{AtomicBitVec, BitSet};
 use ligra_parallel::checked_u32;
 use ligra_parallel::scan::prefix_sums;
@@ -192,24 +172,8 @@ where
         Traversal::Sparse => Mode::Sparse,
         Traversal::Dense => Mode::Dense,
         Traversal::DenseForward => Mode::DenseForward,
-        Traversal::Partitioned => Mode::Partitioned,
-        Traversal::Auto => {
-            if work > threshold {
-                // Dense territory. When the round is also miss-bound —
-                // enough frontier out-edges that pull would take a cache
-                // miss per edge on a graph whose destination state
-                // outgrows the LLC — route to scatter/gather instead.
-                if out_edges > opts.effective_partition_threshold(g.num_edges())
-                    && n >= opts.partition_min_vertices.unwrap_or_else(partition_min_n)
-                {
-                    Mode::Partitioned
-                } else {
-                    Mode::Dense
-                }
-            } else {
-                Mode::Sparse
-            }
-        }
+        Traversal::Auto if work > threshold => Mode::Dense,
+        Traversal::Auto => Mode::Sparse,
     };
 
     let input_sparse = frontier.is_sparse();
@@ -235,7 +199,6 @@ where
         }
     }
 
-    let mut pstats = PartitionedRoundStats::default();
     let result = if frontier.is_empty() {
         VertexSubset::empty(n)
     } else {
@@ -248,13 +211,7 @@ where
             Mode::DenseForward => {
                 dense_forward_impl(g, frontier.as_bits(), f, opts.output, c, opts.oracle)
             }
-            Mode::Partitioned => {
-                let part = g.partitioning_with(opts.partition_bits);
-                let (res, ps) =
-                    partitioned_impl(g, frontier.as_bits(), f, opts.output, &part, c, opts.oracle);
-                pstats = ps;
-                res
-            }
+            Mode::Partitioned => unreachable!("no policy selects the removed partitioned mode"),
         }
     };
 
@@ -272,14 +229,11 @@ where
         // stream the packed n/8-byte bitset each way.
         let frontier_bytes = if frontier.is_empty() {
             0
+        } else if wants_sparse {
+            4 * (frontier_vertices + result.len() as u64)
         } else {
-            match mode {
-                Mode::Sparse => 4 * (frontier_vertices + result.len() as u64),
-                Mode::Dense | Mode::DenseForward | Mode::Partitioned => {
-                    let words = (n.div_ceil(64) * 8) as u64;
-                    words + if opts.output { words } else { 0 }
-                }
-            }
+            let words = (n.div_ceil(64) * 8) as u64;
+            words + if opts.output { words } else { 0 }
         };
         rec.record(RoundStat {
             op: crate::stats::Op::EdgeMap,
@@ -299,9 +253,7 @@ where
             cas_wins: c.map_or(0, |c| c.cas_wins.sum()),
             edges_scanned: c.map_or(0, |c| c.edges_scanned.sum()),
             edges_skipped: c.map_or(0, |c| c.edges_skipped.sum()),
-            partitions: pstats.partitions,
-            bins_flushed: pstats.bins_flushed,
-            scatter_bytes: pstats.scatter_bytes,
+            scatter_bytes: 0,
         });
     }
     result
@@ -640,155 +592,6 @@ where
     }
 }
 
-/// Frontier words one scatter task walks (4096 source vertices): big
-/// enough to amortize per-task fragment rows, small enough that rmat-sized
-/// frontiers produce many times more chunks than threads. A single
-/// mega-hub still serializes its chunk — the accepted trade for keeping
-/// the scatter phase allocation-local (see DESIGN §13).
-const SCATTER_WORDS: usize = 64;
-
-/// One scattered update: the edge `(src, dst)` with its payload, parked
-/// in `dst`'s partition bin until the gather phase drains it.
-#[derive(Debug, Clone, Copy)]
-struct BinEntry<W> {
-    src: VertexId,
-    dst: VertexId,
-    w: W,
-}
-
-/// The partition-specific telemetry a partitioned round reports.
-#[derive(Debug, Default, Clone, Copy)]
-struct PartitionedRoundStats {
-    partitions: u64,
-    bins_flushed: u64,
-    scatter_bytes: u64,
-}
-
-/// Cache-aware scatter/gather traversal over a dense frontier. Public for
-/// the ablation benches; use [`edge_map_with`] with
-/// [`Traversal::Partitioned`] in normal code. Uses the graph's cached
-/// default-width partitioning.
-pub fn edge_map_partitioned<W, F>(g: &Graph<W>, bits: &BitSet, f: &F, output: bool) -> VertexSubset
-where
-    W: Copy + Send + Sync + Default,
-    F: EdgeMapFn<W>,
-{
-    partitioned_impl(g, bits, f, output, &g.partitioning(), None, None).0
-}
-
-fn partitioned_impl<W, F>(
-    g: &Graph<W>,
-    bits: &BitSet,
-    f: &F,
-    output: bool,
-    part: &Partitioning,
-    counters: Option<&EdgeCounters>,
-    oracle: Option<&RaceOracle>,
-) -> (VertexSubset, PartitionedRoundStats)
-where
-    W: Copy + Send + Sync + Default,
-    F: EdgeMapFn<W>,
-{
-    #[cfg(not(feature = "race-check"))]
-    let _ = oracle;
-    let n = g.num_vertices();
-    debug_assert_eq!(bits.len(), n);
-    debug_assert_eq!(part.num_vertices(), n, "partitioning built for a different graph");
-    let nparts = part.num_partitions();
-
-    // --- Scatter: parallel over source chunks, writes only chunk-local
-    // fragments. No `cond`, no destination state is read — touching
-    // `dst`-indexed data here would reintroduce exactly the random
-    // accesses this traversal exists to avoid. Entries land in bins in
-    // (chunk, bit) order, i.e. ascending source.
-    let fwords = bits.words();
-    let nchunks = fwords.len().div_ceil(SCATTER_WORDS).max(1);
-    let frags: Fragments<BinEntry<W>> = (0..nchunks)
-        .into_par_iter()
-        .map(|ci| {
-            let mut row = fragment_row::<BinEntry<W>>(nparts);
-            let mut scanned = 0u64;
-            let lo = ci * SCATTER_WORDS;
-            let hi = (lo + SCATTER_WORDS).min(fwords.len());
-            for (wi, &w0) in fwords.iter().enumerate().take(hi).skip(lo) {
-                let mut w = w0;
-                while w != 0 {
-                    let u = checked_u32(wi * 64) + w.trailing_zeros();
-                    w &= w - 1;
-                    let ns = g.out_neighbors(u);
-                    let ws = g.out_weights(u);
-                    scanned += ns.len() as u64;
-                    for (j, &v) in ns.iter().enumerate() {
-                        row[part.partition_of(v)].push(BinEntry { src: u, dst: v, w: wt(ws, j) });
-                    }
-                }
-            }
-            if let Some(c) = counters {
-                c.edges_scanned.add(scanned);
-            }
-            row
-        })
-        .collect();
-    let (bins, bins_flushed) = stitch(frags);
-    let entries: usize = bins.iter().map(Vec::len).sum();
-    let pstats = PartitionedRoundStats {
-        partitions: nparts as u64,
-        bins_flushed,
-        scatter_bytes: (entries * std::mem::size_of::<BinEntry<W>>()) as u64,
-    };
-
-    // --- Gather: parallel over partitions, sequential within one. Every
-    // destination lives in exactly one partition and each partition's bin
-    // is drained by one task, so the non-atomic `update` and the plain
-    // writes into the partition's own output words are race-free — the
-    // same single-owner contract the pull traversal relies on, certified
-    // by the oracle's exclusive-entry hooks.
-    let gather = |p: usize, mut out_words: Option<&mut [u64]>| {
-        let base = part.range(p).start;
-        let mut skipped = 0u64;
-        for e in &bins[p] {
-            if f.cond(e.dst) {
-                #[cfg(feature = "race-check")]
-                if let Some(o) = oracle {
-                    o.enter_exclusive(e.src, e.dst);
-                }
-                let won = f.update(e.src, e.dst, e.w);
-                #[cfg(feature = "race-check")]
-                if let Some(o) = oracle {
-                    o.exit_exclusive(e.src, e.dst, won);
-                }
-                if won {
-                    if let Some(words) = out_words.as_deref_mut() {
-                        let local = e.dst as usize - base;
-                        words[local >> 6] |= 1u64 << (local & 63);
-                    }
-                }
-            } else {
-                skipped += 1;
-            }
-        }
-        if let Some(c) = counters {
-            c.edges_skipped.add(skipped);
-        }
-    };
-
-    let result = if output {
-        let mut words = vec![0u64; n.div_ceil(64)];
-        // Partition boundaries are multiples of 64 (partition::MIN_BITS),
-        // so each partition owns whole output words and the chunking
-        // below hands every gather task exactly its own words.
-        words
-            .par_chunks_mut(part.words_per_partition())
-            .enumerate()
-            .for_each(|(p, chunk)| gather(p, Some(chunk)));
-        VertexSubset::from_bitset(n, BitSet::from_words(words, n))
-    } else {
-        (0..nparts).into_par_iter().for_each(|p| gather(p, None));
-        VertexSubset::empty(n)
-    };
-    (result, pstats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -827,9 +630,7 @@ mod tests {
         let g = erdos_renyi(300, 2500, 3, false);
         let frontier: Vec<u32> = (0..300u32).filter(|v| v.is_multiple_of(7)).collect();
         let expect = reference_neighborhood(&g, &frontier);
-        for t in
-            [Traversal::Sparse, Traversal::Dense, Traversal::DenseForward, Traversal::Partitioned]
-        {
+        for t in [Traversal::Sparse, Traversal::Dense, Traversal::DenseForward] {
             assert_eq!(neighborhood_via(&g, &frontier, t), expect, "traversal {t:?}");
         }
     }
@@ -849,9 +650,7 @@ mod tests {
         let g = star(8);
         let f = edge_fn(|_, _, _: ()| true, |d: u32| d.is_multiple_of(2));
         let mut fr = VertexSubset::single(8, 0);
-        for t in
-            [Traversal::Sparse, Traversal::Dense, Traversal::DenseForward, Traversal::Partitioned]
-        {
+        for t in [Traversal::Sparse, Traversal::Dense, Traversal::DenseForward] {
             let out = edge_map_with(&g, &mut fr, &f, EdgeMapOptions::new().traversal(t));
             assert_eq!(out.to_vec_sorted(), vec![2, 4, 6], "traversal {t:?}");
         }
@@ -934,9 +733,7 @@ mod tests {
             |_| true,
         );
         let mut fr = VertexSubset::single(50, 0);
-        for t in
-            [Traversal::Sparse, Traversal::Dense, Traversal::DenseForward, Traversal::Partitioned]
-        {
+        for t in [Traversal::Sparse, Traversal::Dense, Traversal::DenseForward] {
             hits.store(0, Ordering::Relaxed);
             let out =
                 edge_map_with(&g, &mut fr, &f, EdgeMapOptions::new().traversal(t).no_output());
@@ -974,9 +771,7 @@ mod tests {
         // Keep targets whose incoming weight is 20.
         let f = edge_fn(|_, _, w: i32| w == 20, |_| true);
         let mut fr = VertexSubset::single(3, 0);
-        for t in
-            [Traversal::Sparse, Traversal::Dense, Traversal::DenseForward, Traversal::Partitioned]
-        {
+        for t in [Traversal::Sparse, Traversal::Dense, Traversal::DenseForward] {
             let out = edge_map_with(&g, &mut fr, &f, EdgeMapOptions::new().traversal(t));
             assert_eq!(out.to_vec_sorted(), vec![2], "traversal {t:?}");
         }
@@ -1183,92 +978,6 @@ mod tests {
         let r = stats.rounds[0];
         assert_eq!(r.output_vertices, 3);
         assert_eq!(r.frontier_bytes, 4 * (1 + 3));
-    }
-
-    #[test]
-    fn partitioned_round_records_partition_telemetry() {
-        let g = erdos_renyi(500, 5000, 11, true);
-        let f = edge_fn(|_, _, _: ()| true, |_| true);
-        let mut stats = TraversalStats::new();
-        let mut fr = VertexSubset::all(500);
-        // Width 6 -> 64-vertex partitions -> ceil(500/64) = 8 of them.
-        let opts = EdgeMapOptions::new().traversal(Traversal::Partitioned).partition_bits(6);
-        let _ = edge_map_traced(&g, &mut fr, &f, opts, &mut stats);
-        let r = stats.rounds[0];
-        assert_eq!(r.mode, Mode::Partitioned);
-        assert!(r.forced);
-        assert_eq!(r.partitions, 8);
-        assert!(r.bins_flushed > 0);
-        // One 8-byte (src, dst) entry per frontier out-edge: the scatter
-        // phase bins everything and defers cond to the gather.
-        assert_eq!(r.scatter_bytes, 8 * r.frontier_out_edges);
-        assert_eq!(r.edges_scanned, r.frontier_out_edges);
-        let words = 500usize.div_ceil(64) as u64 * 8;
-        assert_eq!(r.frontier_bytes, 2 * words, "dense-style input + output bitsets");
-        // The classic traversals must keep the new columns at zero.
-        let mut fr = VertexSubset::all(500);
-        let opts = EdgeMapOptions::new().traversal(Traversal::Dense);
-        let _ = edge_map_traced(&g, &mut fr, &f, opts, &mut stats);
-        let r = stats.rounds[1];
-        assert_eq!((r.partitions, r.bins_flushed, r.scatter_bytes), (0, 0, 0));
-    }
-
-    #[test]
-    fn partitioned_cond_filtering_counts_skipped_entries() {
-        let g = star(80);
-        let f = edge_fn(|_, _, _: ()| true, |d: u32| d.is_multiple_of(2));
-        let mut stats = TraversalStats::new();
-        let mut fr = VertexSubset::single(80, 0);
-        let opts = EdgeMapOptions::new().traversal(Traversal::Partitioned).partition_bits(6);
-        let out = edge_map_traced(&g, &mut fr, &f, opts, &mut stats);
-        assert_eq!(out.len(), 39, "targets 2,4,...,78");
-        let r = stats.rounds[0];
-        assert_eq!(r.edges_scanned, 79, "scatter bins every out-edge");
-        assert_eq!(r.edges_skipped, 40, "gather drops the cond-failing entries");
-    }
-
-    #[test]
-    fn auto_upgrades_miss_bound_dense_rounds_to_partitioned() {
-        let g = erdos_renyi(2000, 40_000, 1, true);
-        let f = edge_fn(|_, _, _: ()| true, |_| true);
-        let mut stats = TraversalStats::new();
-        // With the size floor lowered, a full frontier is both dense
-        // (work > m/20) and miss-bound (out-edges > m/4).
-        let opts = EdgeMapOptions::new().partition_min_vertices(1);
-        let mut huge = VertexSubset::all(2000);
-        let _ = edge_map_traced(&g, &mut huge, &f, opts, &mut stats);
-        assert_eq!(stats.rounds[0].mode, Mode::Partitioned);
-        assert!(!stats.rounds[0].forced, "Auto decided, not a forced policy");
-        // A tiny frontier still takes the sparse path.
-        let mut tiny = VertexSubset::single(2000, 0);
-        let _ = edge_map_traced(&g, &mut tiny, &f, opts, &mut stats);
-        assert_eq!(stats.rounds[1].mode, Mode::Sparse);
-        // At the production floor this graph is far too small to upgrade.
-        let mut huge = VertexSubset::all(2000);
-        let _ = edge_map_traced(&g, &mut huge, &f, EdgeMapOptions::new(), &mut stats);
-        assert_eq!(stats.rounds[2].mode, Mode::Dense);
-        // Raising the partition threshold vetoes the upgrade even when big.
-        let mut huge = VertexSubset::all(2000);
-        let opts = EdgeMapOptions::new().partition_min_vertices(1).partition_threshold(u64::MAX);
-        let _ = edge_map_traced(&g, &mut huge, &f, opts, &mut stats);
-        assert_eq!(stats.rounds[3].mode, Mode::Dense);
-    }
-
-    #[test]
-    fn partitioned_handles_hub_spanning_partitions() {
-        // A hub with out-edges into every partition plus tail sources:
-        // exercises fragment rows with many active bins and the stitch's
-        // chunk-order concatenation.
-        let hub_deg = 2 * EDGE_BLOCK + 11;
-        let n = hub_deg + 10;
-        let mut edges: Vec<(u32, u32)> = (0..hub_deg as u32).map(|j| (0, j + 1)).collect();
-        for k in 0..9u32 {
-            edges.push((1 + k, n as u32 - 1));
-        }
-        let g = build_graph(n, &edges, BuildOptions::directed());
-        let frontier: Vec<u32> = (0..10u32).collect();
-        let expect = reference_neighborhood(&g, &frontier);
-        assert_eq!(neighborhood_via(&g, &frontier, Traversal::Partitioned), expect);
     }
 
     #[test]

@@ -19,23 +19,12 @@ pub enum Traversal {
     /// set — the paper's "dense forward" variant, which avoids reading the
     /// transpose at the cost of atomic updates and no early exit.
     DenseForward,
-    /// Cache-aware scatter/gather over contiguous vertex partitions:
-    /// scatter appends `(dst, payload)` updates into per-partition bins,
-    /// gather drains each bin with partition-exclusive (non-atomic)
-    /// writes. Trades one streaming pass of bin traffic for the random
-    /// LLC misses of dense pull on large graphs.
-    Partitioned,
 }
 
 impl Traversal {
     /// All traversal policies, in the order benches sweep them.
-    pub const ALL: [Traversal; 5] = [
-        Traversal::Auto,
-        Traversal::Sparse,
-        Traversal::Dense,
-        Traversal::DenseForward,
-        Traversal::Partitioned,
-    ];
+    pub const ALL: [Traversal; 4] =
+        [Traversal::Auto, Traversal::Sparse, Traversal::Dense, Traversal::DenseForward];
 
     /// The canonical name [`std::fmt::Display`] renders (and
     /// [`std::str::FromStr`] accepts, along with a few aliases).
@@ -45,7 +34,6 @@ impl Traversal {
             Traversal::Sparse => "sparse",
             Traversal::Dense => "dense",
             Traversal::DenseForward => "dense-forward",
-            Traversal::Partitioned => "partitioned",
         }
     }
 }
@@ -69,10 +57,8 @@ impl std::str::FromStr for Traversal {
             "sparse" | "sparse-only" | "push" => Ok(Traversal::Sparse),
             "dense" | "dense-only" | "pull" => Ok(Traversal::Dense),
             "dense-forward" | "dense_forward" | "dense-fwd" => Ok(Traversal::DenseForward),
-            "partitioned" | "partition" | "scatter-gather" => Ok(Traversal::Partitioned),
             other => Err(format!(
-                "unknown traversal {other:?} (expected auto, sparse, dense, dense-forward, \
-                 or partitioned)"
+                "unknown traversal {other:?} (expected auto, sparse, dense, or dense-forward)"
             )),
         }
     }
@@ -112,19 +98,6 @@ pub struct EdgeMapOptions<'a> {
     /// `fault-inject` feature; without it the attached plan is inert
     /// (the round hook compiles away). See [`crate::fault`].
     pub fault: Option<&'a FaultPlan>,
-    /// Frontier out-edge count above which the `Auto` heuristic upgrades
-    /// a dense round to the partitioned scatter/gather traversal; `None`
-    /// means the default `m / 4`. Only consulted on graphs large enough
-    /// for partitioning to pay (see `ligra_graph::partition::MIN_N`).
-    pub partition_threshold: Option<u64>,
-    /// log2 of the partition width in vertices for the partitioned
-    /// traversal; `None` defers to `LIGRA_PARTITION_BITS` or the
-    /// cache-sized default in `ligra_graph::partition`.
-    pub partition_bits: Option<u32>,
-    /// Smallest vertex count for which `Auto` will upgrade a dense round
-    /// to the partitioned traversal; `None` defers to
-    /// `LIGRA_PARTITION_MIN_N` / `ligra_graph::partition::MIN_N`.
-    pub partition_min_vertices: Option<usize>,
 }
 
 impl Default for EdgeMapOptions<'_> {
@@ -137,9 +110,6 @@ impl Default for EdgeMapOptions<'_> {
             cancel: None,
             oracle: None,
             fault: None,
-            partition_threshold: None,
-            partition_bits: None,
-            partition_min_vertices: None,
         }
     }
 }
@@ -205,36 +175,6 @@ impl<'a> EdgeMapOptions<'a> {
     pub fn effective_threshold(&self, m: usize) -> u64 {
         self.threshold.unwrap_or(m as u64 / 20)
     }
-
-    /// Sets the frontier out-edge count above which `Auto` upgrades a
-    /// dense round to the partitioned traversal.
-    pub fn partition_threshold(mut self, t: u64) -> Self {
-        self.partition_threshold = Some(t);
-        self
-    }
-
-    /// Sets the partition width (log2 vertices per partition) for the
-    /// partitioned traversal.
-    pub fn partition_bits(mut self, bits: u32) -> Self {
-        self.partition_bits = Some(bits);
-        self
-    }
-
-    /// Sets the smallest vertex count at which `Auto` considers the
-    /// partitioned upgrade (mainly for tests; production sizing comes
-    /// from `ligra_graph::partition`).
-    pub fn partition_min_vertices(mut self, n: usize) -> Self {
-        self.partition_min_vertices = Some(n);
-        self
-    }
-
-    /// The effective partition upgrade threshold for a graph with `m`
-    /// edges: dense rounds whose frontier out-edge sum exceeds this are
-    /// miss-bound enough for scatter/gather to pay for its bin traffic.
-    #[inline]
-    pub fn effective_partition_threshold(&self, m: usize) -> u64 {
-        self.partition_threshold.unwrap_or(m as u64 / 4)
-    }
 }
 
 #[cfg(test)]
@@ -298,18 +238,7 @@ mod tests {
         assert_eq!("dense-only".parse::<Traversal>().unwrap(), Traversal::Dense);
         assert_eq!("dense-fwd".parse::<Traversal>().unwrap(), Traversal::DenseForward);
         assert_eq!("DENSE".parse::<Traversal>().unwrap(), Traversal::Dense);
-        assert_eq!("partition".parse::<Traversal>().unwrap(), Traversal::Partitioned);
-        assert_eq!("scatter-gather".parse::<Traversal>().unwrap(), Traversal::Partitioned);
+        assert!("partitioned".parse::<Traversal>().is_err());
         assert!("diagonal".parse::<Traversal>().is_err());
-    }
-
-    #[test]
-    fn partition_knobs_default_and_chain() {
-        let o = EdgeMapOptions::new();
-        assert_eq!(o.effective_partition_threshold(2000), 500);
-        assert!(o.partition_bits.is_none());
-        let o = o.partition_threshold(9).partition_bits(12);
-        assert_eq!(o.effective_partition_threshold(2000), 9);
-        assert_eq!(o.partition_bits, Some(12));
     }
 }

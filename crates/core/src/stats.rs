@@ -29,8 +29,9 @@ pub enum Mode {
     Dense,
     /// Push over the dense frontier (no transpose needed).
     DenseForward,
-    /// Cache-aware scatter/gather: push updates into per-partition bins,
-    /// then drain each bin with partition-exclusive writes.
+    /// Never produced: the partitioned scatter/gather traversal was
+    /// removed. Kept only so the `perfbench/` benchmark, which names
+    /// every mode, compiles until its next revision.
     Partitioned,
 }
 
@@ -174,15 +175,9 @@ pub struct RoundStat {
     /// In-edges *not* read in dense-pull rounds because `cond` failed at or
     /// during the target's scan (the early-exit saving; 0 for push modes).
     pub edges_skipped: u64,
-    /// Cache-fitting vertex partitions the graph was segmented into for a
-    /// partitioned round (0 for the classic traversals).
-    pub partitions: u64,
-    /// Scatter-phase bin fragments stitched during a partitioned round —
-    /// one per (source chunk, destination partition) pair that received at
-    /// least one update (0 for the classic traversals).
-    pub bins_flushed: u64,
-    /// Bytes of `(dst, payload)` update entries the scatter phase wrote
-    /// into partition bins (0 for the classic traversals).
+    /// Always 0: no traversal scatters into bins since the partitioned
+    /// traversal was removed. Kept only so the `perfbench/` benchmark,
+    /// which reads it, compiles until its next revision.
     pub scatter_bytes: u64,
 }
 
@@ -211,8 +206,6 @@ impl RoundStat {
             cas_wins: 0,
             edges_scanned: 0,
             edges_skipped: 0,
-            partitions: 0,
-            bins_flushed: 0,
             scatter_bytes: 0,
         }
     }
@@ -283,22 +276,21 @@ impl TraversalStats {
         self.rounds.iter().filter(|r| r.op == Op::EdgeMap)
     }
 
-    /// `edgeMap` rounds that ran in each mode:
-    /// `(sparse, dense, dense_forward, partitioned)`.
-    pub fn mode_counts(&self) -> (usize, usize, usize, usize) {
+    /// `edgeMap` rounds that ran in each mode: `(sparse, dense,
+    /// dense_forward)`.
+    pub fn mode_counts(&self) -> (usize, usize, usize) {
         let mut s = 0;
         let mut d = 0;
         let mut f = 0;
-        let mut p = 0;
         for r in self.edge_map_rounds() {
             match r.mode {
                 Mode::Sparse => s += 1,
                 Mode::Dense => d += 1,
                 Mode::DenseForward => f += 1,
-                Mode::Partitioned => p += 1,
+                Mode::Partitioned => {}
             }
         }
-        (s, d, f, p)
+        (s, d, f)
     }
 
     /// Total edges incident to all frontiers (the work the traversal
@@ -359,8 +351,6 @@ mod tests {
             cas_wins: out,
             edges_scanned: 10,
             edges_skipped: 0,
-            partitions: 0,
-            bins_flushed: 0,
             scatter_bytes: 0,
         }
     }
@@ -371,11 +361,10 @@ mod tests {
         for (mode, out) in [(Mode::Sparse, 2), (Mode::Dense, 100), (Mode::Sparse, 1)] {
             t.rounds.push(round(mode, out));
         }
-        t.rounds.push(round(Mode::Partitioned, 5));
         t.rounds.push(RoundStat::vertex_op(Op::VertexMap, 7, ReprKind::Dense, 7));
-        assert_eq!(t.num_rounds(), 5);
-        assert_eq!(t.mode_counts(), (2, 1, 0, 1), "vertex ops must not count as modes");
-        assert_eq!(t.total_frontier_edges(), 40);
+        assert_eq!(t.num_rounds(), 4);
+        assert_eq!(t.mode_counts(), (2, 1, 0), "vertex ops must not count as modes");
+        assert_eq!(t.total_frontier_edges(), 30);
     }
 
     #[test]

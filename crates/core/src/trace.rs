@@ -19,7 +19,7 @@ use crate::stats::{Mode, Op, ReprKind, RoundStat, TraversalStats};
 use std::fmt::Write as _;
 
 /// Column order shared by the CSV header and the JSON key order.
-pub const COLUMNS: [&str; 21] = [
+pub const COLUMNS: [&str; 18] = [
     "round",
     "op",
     "mode",
@@ -38,9 +38,6 @@ pub const COLUMNS: [&str; 21] = [
     "cas_wins",
     "edges_scanned",
     "edges_skipped",
-    "partitions",
-    "bins_flushed",
-    "scatter_bytes",
 ];
 
 /// Serializes a trace as JSON lines: one flat object per event, keys in
@@ -57,8 +54,7 @@ pub fn to_json_lines(stats: &TraversalStats) -> String {
                 "\"input_repr\":\"{}\",\"output_repr\":\"{}\",\"converted\":{},",
                 "\"output_vertices\":{},\"frontier_bytes\":{},\"time_ns\":{},",
                 "\"cas_attempts\":{},\"cas_wins\":{},",
-                "\"edges_scanned\":{},\"edges_skipped\":{},",
-                "\"partitions\":{},\"bins_flushed\":{},\"scatter_bytes\":{}}}\n"
+                "\"edges_scanned\":{},\"edges_skipped\":{}}}\n"
             ),
             i,
             r.op,
@@ -78,9 +74,6 @@ pub fn to_json_lines(stats: &TraversalStats) -> String {
             r.cas_wins,
             r.edges_scanned,
             r.edges_skipped,
-            r.partitions,
-            r.bins_flushed,
-            r.scatter_bytes,
         );
     }
     out
@@ -93,7 +86,7 @@ pub fn to_csv(stats: &TraversalStats) -> String {
     for (i, r) in stats.rounds.iter().enumerate() {
         let _ = writeln!(
             out,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
             i,
             r.op,
             r.mode,
@@ -112,9 +105,6 @@ pub fn to_csv(stats: &TraversalStats) -> String {
             r.cas_wins,
             r.edges_scanned,
             r.edges_skipped,
-            r.partitions,
-            r.bins_flushed,
-            r.scatter_bytes,
         );
     }
     out
@@ -184,9 +174,7 @@ impl<'a> Record<'a> {
             cas_wins: self.u64("cas_wins")?,
             edges_scanned: self.u64("edges_scanned")?,
             edges_skipped: self.u64("edges_skipped")?,
-            partitions: self.u64("partitions")?,
-            bins_flushed: self.u64("bins_flushed")?,
-            scatter_bytes: self.u64("scatter_bytes")?,
+            scatter_bytes: 0,
         })
     }
 }
@@ -278,8 +266,6 @@ pub struct TraceSummary {
     pub dense_rounds: usize,
     /// Dense-forward rounds.
     pub dense_forward_rounds: usize,
-    /// Partitioned scatter/gather rounds.
-    pub partitioned_rounds: usize,
     /// Rounds whose input frontier was converted between representations.
     pub conversions: usize,
     /// Total wall-clock nanoseconds across all events.
@@ -292,8 +278,6 @@ pub struct TraceSummary {
     pub cas_attempts: u64,
     /// Σ atomic update attempts that won.
     pub cas_wins: u64,
-    /// Σ bytes the partitioned scatter phase wrote into bins.
-    pub scatter_bytes: u64,
 }
 
 impl TraceSummary {
@@ -321,13 +305,11 @@ impl std::fmt::Display for TraceSummary {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(
             f,
-            "{} events ({} sparse / {} dense / {} dense-fwd / {} partitioned edgeMap rounds, \
-             {} conversions)",
+            "{} events ({} sparse / {} dense / {} dense-fwd edgeMap rounds, {} conversions)",
             self.events,
             self.sparse_rounds,
             self.dense_rounds,
             self.dense_forward_rounds,
-            self.partitioned_rounds,
             self.conversions
         )?;
         writeln!(
@@ -357,7 +339,7 @@ pub fn summary(stats: &TraversalStats) -> TraceSummary {
                 Mode::Sparse => s.sparse_rounds += 1,
                 Mode::Dense => s.dense_rounds += 1,
                 Mode::DenseForward => s.dense_forward_rounds += 1,
-                Mode::Partitioned => s.partitioned_rounds += 1,
+                Mode::Partitioned => {}
             }
             if r.converted {
                 s.conversions += 1;
@@ -368,7 +350,6 @@ pub fn summary(stats: &TraversalStats) -> TraceSummary {
         s.edges_skipped += r.edges_skipped;
         s.cas_attempts += r.cas_attempts;
         s.cas_wins += r.cas_wins;
-        s.scatter_bytes += r.scatter_bytes;
     }
     s
 }
@@ -397,8 +378,6 @@ mod tests {
             cas_wins: 9,
             edges_scanned: 9,
             edges_skipped: 0,
-            partitions: 0,
-            bins_flushed: 0,
             scatter_bytes: 0,
         });
         t.rounds.push(RoundStat {
@@ -419,31 +398,7 @@ mod tests {
             cas_wins: 0,
             edges_scanned: 1000,
             edges_skipped: 9000,
-            partitions: 0,
-            bins_flushed: 0,
             scatter_bytes: 0,
-        });
-        t.rounds.push(RoundStat {
-            op: Op::EdgeMap,
-            frontier_vertices: 600,
-            frontier_out_edges: 7000,
-            work: 7600,
-            threshold: 500,
-            forced: true,
-            mode: Mode::Partitioned,
-            input_repr: ReprKind::Dense,
-            output_repr: ReprKind::Dense,
-            converted: false,
-            output_vertices: 40,
-            frontier_bytes: 256,
-            time_ns: 4321,
-            cas_attempts: 0,
-            cas_wins: 0,
-            edges_scanned: 7000,
-            edges_skipped: 0,
-            partitions: 8,
-            bins_flushed: 24,
-            scatter_bytes: 56_000,
         });
         t.rounds.push(RoundStat::vertex_op(Op::VertexMap, 80, ReprKind::Dense, 80));
         t
@@ -453,7 +408,7 @@ mod tests {
     fn json_lines_round_trip() {
         let t = sample_trace();
         let text = to_json_lines(&t);
-        assert_eq!(text.lines().count(), 4);
+        assert_eq!(text.lines().count(), 3);
         assert!(text.lines().next().unwrap().starts_with("{\"round\":0,\"op\":\"edge_map\""));
         let back = from_json_lines(&text).unwrap();
         assert_eq!(back, t);
@@ -464,7 +419,7 @@ mod tests {
         let t = sample_trace();
         let text = to_csv(&t);
         assert_eq!(text.lines().next().unwrap(), COLUMNS.join(","));
-        assert_eq!(text.lines().count(), 5);
+        assert_eq!(text.lines().count(), 4);
         let back = from_csv(&text).unwrap();
         assert_eq!(back, t);
     }
@@ -528,19 +483,15 @@ mod tests {
     fn summary_aggregates_modes_and_counters() {
         let t = sample_trace();
         let s = summary(&t);
-        assert_eq!(s.events, 4);
-        assert_eq!(
-            (s.sparse_rounds, s.dense_rounds, s.dense_forward_rounds, s.partitioned_rounds),
-            (1, 1, 0, 1)
-        );
+        assert_eq!(s.events, 3);
+        assert_eq!((s.sparse_rounds, s.dense_rounds, s.dense_forward_rounds), (1, 1, 0));
         assert_eq!(s.conversions, 1);
-        assert_eq!(s.total_time_ns, 1234 + 5678 + 4321);
+        assert_eq!(s.total_time_ns, 1234 + 5678);
         assert_eq!(s.cas_attempts, 9);
         assert_eq!(s.edges_skipped, 9000);
-        assert_eq!(s.scatter_bytes, 56_000);
+        assert!((s.early_exit_rate() - 9000.0 / 10009.0).abs() < 1e-9);
         let text = s.to_string();
         assert!(text.contains("1 sparse / 1 dense"));
-        assert!(text.contains("1 partitioned"));
         assert!(text.contains("win rate 100.0%"));
     }
 }

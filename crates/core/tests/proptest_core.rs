@@ -1,7 +1,6 @@
 //! Property-based tests for the framework core: on arbitrary graphs and
-//! frontiers, every traversal policy of `edgeMap` (including the
-//! partitioned scatter/gather mode) must compute the same relation, and
-//! `vertexSubset` conversions must be lossless.
+//! frontiers, every traversal policy of `edgeMap` must compute the same
+//! relation, and `vertexSubset` conversions must be lossless.
 //!
 //! Coverage caveat: when the workspace is built with the offline vendored
 //! proptest stand-in (`.cargo/config.toml` patch, registry-less sandboxes

@@ -298,7 +298,10 @@ fn generate(req: &Request) -> Result<Graph, String> {
     match req.str("family")? {
         "rmat" => {
             let log_n = to_u32(req.u64_or("log_n", 12)?, "log_n")?;
-            Ok(rmat(&RmatOptions::paper(log_n)))
+            // Without a `seed` field the paper's own seed applies, so an
+            // unseeded `gen` keeps producing the same graph.
+            let paper = RmatOptions::paper(log_n);
+            Ok(rmat(&RmatOptions { seed: req.u64_or("seed", paper.seed)?, ..paper }))
         }
         "grid3d" => {
             let side = req.u64_or("side", 16)? as usize;
@@ -589,9 +592,6 @@ fn metrics_response(engine: &Engine) -> String {
         .u64("cache_misses", m.cache_misses)
         .u64("cache_evictions", m.cache_evictions)
         .u64("cache_entries", m.cache_entries)
-        .u64("partition_rounds", m.partition_rounds)
-        .u64("partition_bins_flushed", m.partition_bins_flushed)
-        .u64("partition_scatter_bytes", m.partition_scatter_bytes)
         .u64("mutation_batches", m.mutation_batches)
         .u64("mutation_edges_added", m.mutation_edges_added)
         .u64("mutation_edges_deleted", m.mutation_edges_deleted)
@@ -1053,5 +1053,30 @@ fn main() {
                 });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn gen(line: &str) -> Graph {
+        generate(&Request::parse(line).expect("valid request")).expect("generated graph")
+    }
+
+    fn arcs(g: &Graph) -> Vec<Vec<u32>> {
+        (0..g.num_vertices() as u32).map(|v| g.out_neighbors(v).to_vec()).collect()
+    }
+
+    #[test]
+    fn rmat_gen_honors_the_seed() {
+        let seeded = |seed: u64| {
+            arcs(&gen(&format!(r#"{{"op":"gen","family":"rmat","log_n":8,"seed":{seed}}}"#)))
+        };
+        assert_eq!(seeded(3), seeded(3), "same seed, same graph");
+        assert_ne!(seeded(3), seeded(4), "different seeds, different graphs");
+        // An unseeded request keeps the paper's default graph.
+        let unseeded = arcs(&gen(r#"{"op":"gen","family":"rmat","log_n":8}"#));
+        assert_eq!(unseeded, arcs(&rmat(&RmatOptions::paper(8))));
     }
 }

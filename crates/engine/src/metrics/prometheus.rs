@@ -38,9 +38,6 @@ pub const FAMILIES: &[(&str, &str, &[&str], &str)] = &[
     ("ligra_cache_hits_total", "counter", &[], "Result-cache hits"),
     ("ligra_cache_misses_total", "counter", &[], "Result-cache misses"),
     ("ligra_cache_evictions_total", "counter", &[], "Result-cache LRU evictions"),
-    ("ligra_partition_rounds_total", "counter", &[], "edgeMap rounds run scatter/gather"),
-    ("ligra_partition_bins_flushed_total", "counter", &[], "Scatter bins drained by gather"),
-    ("ligra_partition_scatter_bytes_total", "counter", &[], "Bytes scattered into partition bins"),
     ("ligra_mutation_overlay_edges", "gauge", &[], "Arcs in the serving snapshot's delta overlay"),
     ("ligra_mutation_overlay_vertices", "gauge", &[], "Vertices touched by the delta overlay"),
     ("ligra_mutation_batches_applied_total", "counter", &[], "Mutation batches applied"),
@@ -211,27 +208,6 @@ pub fn render(s: &MetricsSnapshot) -> String {
         "counter",
         "Result-cache LRU evictions",
         s.cache_evictions,
-    );
-    scalar(
-        &mut out,
-        "ligra_partition_rounds_total",
-        "counter",
-        "edgeMap rounds run scatter/gather",
-        s.partition_rounds,
-    );
-    scalar(
-        &mut out,
-        "ligra_partition_bins_flushed_total",
-        "counter",
-        "Scatter bins drained by gather",
-        s.partition_bins_flushed,
-    );
-    scalar(
-        &mut out,
-        "ligra_partition_scatter_bytes_total",
-        "counter",
-        "Bytes scattered into partition bins",
-        s.partition_scatter_bytes,
     );
 
     scalar(
@@ -559,9 +535,6 @@ mod tests {
             cache_misses: 6,
             cache_evictions: 1,
             cache_entries: 5,
-            partition_rounds: 2,
-            partition_bins_flushed: 16,
-            partition_scatter_bytes: 4_096,
             mutation_batches: 3,
             mutation_edges_added: 12,
             mutation_edges_deleted: 4,

@@ -52,14 +52,6 @@ pub struct MetricsRegistry {
     /// Nanoseconds workers spent parked waiting for work.
     pub worker_idle_ns: Counter,
 
-    // --- partitioned-traversal kernel counters ---
-    /// edgeMap rounds that ran the partitioned scatter/gather traversal.
-    pub partition_rounds: Counter,
-    /// Non-empty scatter bins drained by partitioned rounds.
-    pub partition_bins_flushed: Counter,
-    /// Bytes of bin entries scattered by partitioned rounds.
-    pub partition_scatter_bytes: Counter,
-
     // --- live mutation subsystem ---
     /// Mutation batches applied (each publishes an epoch).
     pub mutation_batches: Counter,
@@ -208,12 +200,6 @@ pub struct MetricsSnapshot {
     pub cache_evictions: u64,
     /// Result-cache resident entries.
     pub cache_entries: u64,
-    /// Partitioned edgeMap rounds executed.
-    pub partition_rounds: u64,
-    /// Scatter bins flushed by partitioned rounds.
-    pub partition_bins_flushed: u64,
-    /// Bytes scattered into bins by partitioned rounds.
-    pub partition_scatter_bytes: u64,
     /// Mutation batches applied.
     pub mutation_batches: u64,
     /// Arcs inserted by mutation batches.

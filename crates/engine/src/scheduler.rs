@@ -669,9 +669,6 @@ impl Engine {
             cache_misses,
             cache_evictions,
             cache_entries,
-            partition_rounds: m.partition_rounds.get(),
-            partition_bins_flushed: m.partition_bins_flushed.get(),
-            partition_scatter_bytes: m.partition_scatter_bytes.get(),
             mutation_batches: m.mutation_batches.get(),
             mutation_edges_added: m.mutation_edges_added.get(),
             mutation_edges_deleted: m.mutation_edges_deleted.get(),
@@ -879,11 +876,6 @@ fn run_job(sh: &Shared, job: &Arc<Job>) {
     span.run_ns = start.elapsed().as_nanos() as u64;
     span.rounds = counter.counter.edge_map_rounds;
     span.events = counter.counter.events;
-    // Partition kernel telemetry goes to the metrics registry (the span
-    // schema is pinned); counts survive even if the run then errors.
-    sh.metrics.partition_rounds.add(counter.counter.partitioned_rounds);
-    sh.metrics.partition_bins_flushed.add(counter.counter.bins_flushed);
-    sh.metrics.partition_scatter_bytes.add(counter.counter.scatter_bytes);
 
     let (status, result, error) = match exec {
         Ok(Executed::Success(result)) => (QueryStatus::Done, Some(result), None),

@@ -65,14 +65,6 @@ impl Snapshot {
         self.weighted.get().is_some()
     }
 
-    /// The cache-sized vertex partitioning for the partitioned
-    /// traversal. The cache lives on the [`Graph`] itself, so every
-    /// query bound to this snapshot — and every snapshot wrapping the
-    /// same `Arc<Graph>` — shares one lazily built instance.
-    pub fn partitioning(&self) -> Arc<ligra_graph::Partitioning> {
-        self.graph.partitioning()
-    }
-
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
         self.graph.num_vertices()
@@ -168,18 +160,6 @@ mod tests {
         // The old snapshot is still usable by an in-flight query.
         assert_eq!(old.num_vertices(), 8);
         assert_eq!(store.current().unwrap().num_vertices(), 16);
-    }
-
-    #[test]
-    fn snapshot_partitioning_is_shared_through_the_graph_arc() {
-        let g = Arc::new(random_local(300, 4, 5));
-        let snap = Snapshot::from_graph(1, Arc::clone(&g));
-        let p = snap.partitioning();
-        assert_eq!(p.num_vertices(), 300);
-        // Same Arc on re-read, and the same instance the raw graph hands
-        // out — one partitioning per graph, however many snapshots.
-        assert!(Arc::ptr_eq(&p, &snap.partitioning()));
-        assert!(Arc::ptr_eq(&p, &g.partitioning()));
     }
 
     #[test]

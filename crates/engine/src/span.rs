@@ -155,14 +155,6 @@ pub struct RoundCounter {
     pub edge_map_rounds: u64,
     /// All recorded events.
     pub events: u64,
-    /// Rounds that ran the partitioned scatter/gather traversal. Feeds
-    /// the `ligra_partition_rounds_total` metrics counter, not the
-    /// pinned span schema.
-    pub partitioned_rounds: u64,
-    /// Non-empty scatter bins drained across partitioned rounds.
-    pub bins_flushed: u64,
-    /// Bytes of bin entries scattered across partitioned rounds.
-    pub scatter_bytes: u64,
 }
 
 impl Recorder for RoundCounter {
@@ -174,11 +166,6 @@ impl Recorder for RoundCounter {
         self.events += 1;
         if round.op == Op::EdgeMap {
             self.edge_map_rounds += 1;
-            if round.mode == ligra::stats::Mode::Partitioned {
-                self.partitioned_rounds += 1;
-            }
-            self.bins_flushed += round.bins_flushed;
-            self.scatter_bytes += round.scatter_bytes;
         }
     }
 }

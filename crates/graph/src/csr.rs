@@ -360,9 +360,6 @@ impl<T> Copy for SendPtr<T> {}
 pub struct Graph<W = ()> {
     out: std::sync::Arc<Adjacency<W>>,
     incoming: Option<std::sync::Arc<Adjacency<W>>>,
-    /// Lazily built default-width vertex partitioning for the partitioned
-    /// traversal, shared by all clones made after it materializes.
-    partitions: std::sync::OnceLock<std::sync::Arc<crate::partition::Partitioning>>,
 }
 
 /// A graph whose edges carry `i32` weights (the paper's `intE`).
@@ -371,11 +368,7 @@ pub type WeightedGraph = Graph<i32>;
 impl<W: Copy + Send + Sync> Graph<W> {
     /// Creates a symmetric graph from one CSR (used for both directions).
     pub fn symmetric(adj: Adjacency<W>) -> Self {
-        Graph {
-            out: std::sync::Arc::new(adj),
-            incoming: None,
-            partitions: std::sync::OnceLock::new(),
-        }
+        Graph { out: std::sync::Arc::new(adj), incoming: None }
     }
 
     /// Creates a directed graph from its out-CSR and in-CSR.
@@ -385,11 +378,7 @@ impl<W: Copy + Send + Sync> Graph<W> {
     pub fn directed(out: Adjacency<W>, incoming: Adjacency<W>) -> Self {
         assert_eq!(out.num_vertices(), incoming.num_vertices());
         assert_eq!(out.num_edges(), incoming.num_edges());
-        Graph {
-            out: std::sync::Arc::new(out),
-            incoming: Some(std::sync::Arc::new(incoming)),
-            partitions: std::sync::OnceLock::new(),
-        }
+        Graph { out: std::sync::Arc::new(out), incoming: Some(std::sync::Arc::new(incoming)) }
     }
 
     /// Creates a directed graph from its out-CSR alone, computing the
@@ -404,13 +393,7 @@ impl<W: Copy + Send + Sync> Graph<W> {
     pub fn reversed(&self) -> Self {
         match &self.incoming {
             None => self.clone(),
-            // The reversed graph pulls along a different direction, so it
-            // starts with an empty partition cache of its own.
-            Some(incoming) => Graph {
-                out: incoming.clone(),
-                incoming: Some(self.out.clone()),
-                partitions: std::sync::OnceLock::new(),
-            },
+            Some(incoming) => Graph { out: incoming.clone(), incoming: Some(self.out.clone()) },
         }
     }
 
@@ -491,40 +474,6 @@ impl<W: Copy + Send + Sync> Graph<W> {
         }
     }
 
-    /// The default-width vertex partitioning over this graph's
-    /// in-direction, built on first use and cached (clones made after
-    /// that share it). The width comes from
-    /// [`crate::partition::default_bits`], so `LIGRA_PARTITION_BITS` is
-    /// read once per graph, at first materialization.
-    pub fn partitioning(&self) -> std::sync::Arc<crate::partition::Partitioning> {
-        self.partitions
-            .get_or_init(|| {
-                let bits = crate::partition::default_bits(self.num_vertices());
-                std::sync::Arc::new(crate::partition::Partitioning::of(self.in_adj(), bits))
-            })
-            .clone()
-    }
-
-    /// A partitioning at an explicit width: serves the cached one when
-    /// the widths agree, otherwise builds a throwaway one at `bits`.
-    pub fn partitioning_with(
-        &self,
-        bits: Option<u32>,
-    ) -> std::sync::Arc<crate::partition::Partitioning> {
-        match bits {
-            None => self.partitioning(),
-            Some(b) => {
-                let cached = self.partitioning();
-                if cached.bits() == b.clamp(crate::partition::MIN_BITS, crate::partition::MAX_BITS)
-                {
-                    cached
-                } else {
-                    std::sync::Arc::new(crate::partition::Partitioning::of(self.in_adj(), b))
-                }
-            }
-        }
-    }
-
     /// Maximum out-degree and one vertex attaining it; `(0, 0)` on an
     /// edgeless graph.
     pub fn max_out_degree(&self) -> (VertexId, usize) {
@@ -562,7 +511,7 @@ impl<W: Copy + Send + Sync> Graph<W> {
     }
 
     /// Flattens any overlay into clean CSRs (fresh contiguous arrays, no
-    /// overlay, empty partition cache). Results are identical vertex by
+    /// overlay). Results are identical vertex by
     /// vertex; only the layout changes. Without an overlay this is an
     /// O(1) clone.
     pub fn compacted(&self) -> Self {
@@ -797,22 +746,6 @@ mod tests {
         for v in 0..3u32 {
             assert_eq!(rr.out_neighbors(v), g.out_neighbors(v));
         }
-    }
-
-    #[test]
-    fn partitioning_is_cached_per_direction() {
-        let g = small_directed();
-        let p1 = g.partitioning();
-        assert!(std::sync::Arc::ptr_eq(&p1, &g.partitioning()));
-        assert!(std::sync::Arc::ptr_eq(&p1, &g.partitioning_with(None)));
-        assert_eq!(p1.num_vertices(), 3);
-        assert_eq!(p1.total_in_edges(), 3, "counts come from the in-CSR");
-        let wide = g.partitioning_with(Some(7));
-        assert_eq!(wide.bits(), 7);
-        assert!(!std::sync::Arc::ptr_eq(&p1, &wide));
-        // The reversed graph partitions over the opposite direction.
-        let r = g.reversed();
-        assert_eq!(r.partitioning().total_in_edges(), 3);
     }
 
     #[test]

@@ -20,12 +20,10 @@ pub mod delta;
 pub mod generators;
 pub mod io;
 pub mod ops;
-pub mod partition;
 pub mod properties;
 
 pub use builder::{build_graph, build_weighted_graph, BuildOptions};
 pub use csr::{Adjacency, Graph, VertexId, WeightedGraph};
 pub use delta::{apply_batch, apply_normalized, ApplyStats, DeltaBatch, DeltaError};
 pub use ops::{induced_subgraph, largest_component, relabel_by_degree};
-pub use partition::Partitioning;
 pub use properties::GraphStats;

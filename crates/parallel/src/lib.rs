@@ -23,7 +23,6 @@
 //! * [`histogram`] — parallel bounded-key counting (degree histograms).
 //! * [`atomics`] — `write_min`/`write_max`, priority update, `AtomicF64`,
 //!   and slice-as-atomic views.
-//! * [`bins`] — per-partition propagation bins (scatter-fragment stitch).
 //! * [`bitvec`] — bit vectors: a concurrently writable one
 //!   (`fetch_or`-based) and a packed single-owner [`BitSet`].
 //! * [`counter`] — cache-padded per-thread event counters (telemetry).
@@ -33,7 +32,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod atomics;
-pub mod bins;
 pub mod bitvec;
 pub mod counter;
 pub mod hash;

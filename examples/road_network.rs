@@ -37,7 +37,7 @@ fn main() {
     // but the round count equals the mesh's hop diameter either way.
     let mut stats = TraversalStats::new();
     let bfs = apps::bfs_traced(&g, depot, EdgeMapOptions::default(), &mut stats);
-    let (sparse, dense, _, _) = stats.mode_counts();
+    let (sparse, dense, _) = stats.mode_counts();
     println!(
         "hop diameter from depot: {} rounds ({sparse} sparse / {dense} dense), reached {}/{}",
         bfs.rounds, bfs.reached, n

@@ -33,8 +33,7 @@ fn every_app_is_traversal_invariant() {
     let auto_radii = apps::radii(&g, 3);
     let auto_bc = apps::bc(&g, 1);
 
-    for t in [Traversal::Sparse, Traversal::Dense, Traversal::DenseForward, Traversal::Partitioned]
-    {
+    for t in [Traversal::Sparse, Traversal::Dense, Traversal::DenseForward] {
         let opts = EdgeMapOptions::new().traversal(t);
         let mut s = TraversalStats::new();
         assert_eq!(apps::bfs_with(&g, 1, opts).dist, auto_bfs.dist, "{t:?}");

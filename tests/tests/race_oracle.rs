@@ -198,31 +198,6 @@ fn racy_update_is_caught_on_dense_forward_too() {
 }
 
 #[test]
-fn racy_update_is_caught_on_partitioned_gather_too() {
-    // The partitioned gather drains each destination partition
-    // sequentially, so its non-atomic updates can never overlap — but
-    // the per-round win ledger still applies: a Claim function that
-    // "wins" one target from two sources is caught, and the absence of
-    // ExclusiveOverlap violations is exactly the partition-exclusive
-    // write guarantee.
-    let g = star(8);
-    let oracle = RaceOracle::deferred(8, WinContract::Claim);
-    let f = edge_fn(|_, _, _: ()| true, |_| true);
-    let mut frontier = VertexSubset::from_sparse(8, vec![1, 2]);
-    let _ = ligra::edge_map_with(
-        &g,
-        &mut frontier,
-        &f,
-        EdgeMapOptions::default().traversal(Traversal::Partitioned).race_oracle(&oracle),
-    );
-    let report = oracle.report();
-    assert!(!report.is_clean());
-    assert_eq!(report.violations[0].kind, ViolationKind::DoubleWin);
-    assert_eq!(report.violations[0].target, 0);
-    assert_eq!(report.overlaps, 0, "gather must never overlap exclusive entries");
-}
-
-#[test]
 #[should_panic(expected = "both won target")]
 fn panicking_oracle_aborts_inside_edge_map() {
     let g = star(8);
@@ -267,30 +242,4 @@ fn certification_survives_real_parallel_contention() {
     certify("bfs-parallel", g.num_vertices(), WinContract::Claim, |opts| {
         apps::bfs_with(&g, 0, opts).validate(&g, 0);
     });
-}
-
-#[test]
-fn partitioned_certification_survives_real_parallel_contention() {
-    // Forces every round through scatter/gather on a graph large enough
-    // that the ~79 partitions (2^8 vertices each) are drained by
-    // concurrent gather tasks: certifies both the Claim ledger and the
-    // exclusive-entry contract under a genuinely parallel pool.
-    if !ligra_parallel::utils::pool_is_parallel(4) {
-        eprintln!("skipping: rayon pool is sequential");
-        return;
-    }
-    let g = erdos_renyi(20_000, 200_000, 12, true);
-    let oracle = RaceOracle::new(g.num_vertices(), WinContract::Claim);
-    apps::bfs_with(
-        &g,
-        0,
-        EdgeMapOptions::default()
-            .traversal(Traversal::Partitioned)
-            .partition_bits(8)
-            .race_oracle(&oracle),
-    )
-    .validate(&g, 0);
-    let report = oracle.certify().unwrap_or_else(|e| panic!("bfs-partitioned-parallel: {e}"));
-    assert!(report.attempts > 0, "the oracle observed no update attempts");
-    assert_eq!(report.overlaps, 0, "partition-exclusive gather writes must never overlap");
 }

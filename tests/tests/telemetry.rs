@@ -99,76 +99,13 @@ fn frontier_bytes_pin_exact_push_output_and_packed_dense_reads() {
                 assert_eq!(r.frontier_bytes, 4 * (r.frontier_vertices + r.output_vertices));
                 saw.0 = true;
             }
-            Mode::Dense | Mode::DenseForward | Mode::Partitioned => {
+            _ => {
                 assert_eq!(r.frontier_bytes, 2 * packed);
                 saw.1 = true;
             }
         }
     }
     assert!(saw.0 && saw.1, "BFS on rMat must exercise both sparse and dense rounds");
-}
-
-#[test]
-fn partitioned_rounds_report_bin_traffic_and_classic_rounds_do_not() {
-    // The three partition telemetry columns are zero on every classic
-    // round and internally consistent on partitioned ones: 8 bytes of
-    // bin entry per scanned out-edge on an unweighted graph, at least
-    // one flushed bin whenever anything was scattered.
-    let g = rmat(&RmatOptions::paper(12));
-    let mut stats = TraversalStats::new();
-    let _ = apps::bfs_traced(&g, 0, EdgeMapOptions::default(), &mut stats);
-    for r in stats.edge_map_rounds() {
-        assert_eq!(r.partitions, 0, "auto stays classic below the partition floor");
-        assert_eq!(r.bins_flushed, 0);
-        assert_eq!(r.scatter_bytes, 0);
-    }
-
-    let mut stats = TraversalStats::new();
-    let opts = EdgeMapOptions::new().traversal(Traversal::Partitioned).partition_bits(8);
-    let _ = apps::bfs_traced(&g, 0, opts, &mut stats);
-    let n = g.num_vertices() as u64;
-    let mut saw_scatter = false;
-    for r in stats.edge_map_rounds() {
-        assert_eq!(r.mode, Mode::Partitioned);
-        assert!(r.forced);
-        if r.frontier_vertices == 0 {
-            continue;
-        }
-        assert_eq!(r.partitions, n.div_ceil(256));
-        assert_eq!(r.scatter_bytes, 8 * r.edges_scanned);
-        if r.edges_scanned > 0 {
-            assert!(r.bins_flushed > 0);
-            saw_scatter = true;
-        }
-    }
-    assert!(saw_scatter, "a forced partitioned BFS must scatter something");
-}
-
-#[test]
-fn auto_upgrades_to_partitioned_only_above_both_floors() {
-    // End-to-end pin of the extended direction heuristic: with the
-    // vertex floor lowered to cover the test graph, the heaviest BFS
-    // rounds (dense territory AND out-edges > m/4) go partitioned, and
-    // the decision is exactly reconstructible from the recorded columns.
-    let g = rmat(&RmatOptions::paper(12));
-    let m = g.num_edges() as u64;
-    let mut stats = TraversalStats::new();
-    let opts = EdgeMapOptions::new().partition_min_vertices(1);
-    let _ = apps::bfs_traced(&g, 0, opts, &mut stats);
-    let mut saw_partitioned = false;
-    for r in stats.edge_map_rounds() {
-        assert!(!r.forced);
-        let dense_territory = r.work > r.threshold;
-        let miss_bound = r.frontier_out_edges > m / 4;
-        let expect = match (dense_territory, miss_bound) {
-            (true, true) => Mode::Partitioned,
-            (true, false) => Mode::Dense,
-            (false, _) => Mode::Sparse,
-        };
-        assert_eq!(r.mode, expect, "round {r:?}");
-        saw_partitioned |= r.mode == Mode::Partitioned;
-    }
-    assert!(saw_partitioned, "rMat BFS peak must clear the m/4 miss-bound floor");
 }
 
 #[test]
@@ -273,9 +210,6 @@ fn prometheus_families_are_a_closed_vocabulary() {
         ("ligra_cache_hits_total", "counter", &[]),
         ("ligra_cache_misses_total", "counter", &[]),
         ("ligra_cache_evictions_total", "counter", &[]),
-        ("ligra_partition_rounds_total", "counter", &[]),
-        ("ligra_partition_bins_flushed_total", "counter", &[]),
-        ("ligra_partition_scatter_bytes_total", "counter", &[]),
         ("ligra_mutation_overlay_edges", "gauge", &[]),
         ("ligra_mutation_overlay_vertices", "gauge", &[]),
         ("ligra_mutation_batches_applied_total", "counter", &[]),
